@@ -172,6 +172,7 @@ pub fn ilp_comm(
     // ILPcs models are pure-binary with tight LP relaxations; the presolve
     // pass (region-preserving, see `bsp_ilp::presolve`) only shrinks them.
     let sol = bsp_ilp::solve_with_presolve(&model, Some(&warm), limits);
+    crate::obs::ilp_metrics().record(&sol);
     if sol.x.is_empty() {
         return (initial.clone(), init_cost);
     }

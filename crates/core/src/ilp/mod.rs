@@ -57,18 +57,21 @@ impl Default for IlpConfig {
     }
 }
 
-/// Solves `model` with or without the presolve pass, per `use_presolve`.
+/// Solves `model` with or without the presolve pass, per `use_presolve`,
+/// and counts the call in [`crate::obs::ilp_metrics`].
 pub(crate) fn solve_model(
     model: &bsp_ilp::Model,
     warm: Option<&[f64]>,
     limits: &SolveLimits,
     use_presolve: bool,
 ) -> bsp_ilp::MipSolution {
-    if use_presolve {
+    let sol = if use_presolve {
         bsp_ilp::solve_with_presolve(model, warm, limits)
     } else {
         model.solve(warm, limits)
-    }
+    };
+    crate::obs::ilp_metrics().record(&sol);
+    sol
 }
 
 /// Attempts `ILPfull` on the whole (compacted) schedule. Returns an

@@ -5,7 +5,10 @@
 //!
 //! * [`Model`] — variables with bounds and integrality, linear constraints,
 //!   and a linear objective (always *minimized*);
-//! * [`simplex`] — a dense two-phase primal simplex for the LP relaxation;
+//! * [`simplex`] — a two-phase primal simplex for the LP relaxation: a
+//!   dense tableau with sparse-aware pivots (only the rows and columns a
+//!   pivot can change are touched) and per-thread reused storage, exactly
+//!   equal to the plain dense sweep (see the module docs);
 //! * [`branch_bound`] — depth-first branch-and-bound over binary variables
 //!   with warm starts, node/time limits, and a rounding primal heuristic.
 //!

@@ -500,6 +500,19 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// Enqueues `job` and counts it in the queue-depth gauge. The gauge goes
+/// up *before* the push, so a worker that pops the job at once cannot run
+/// its `dec()` ahead of this `inc()` and read the depth as −1; a refused
+/// push takes its count back.
+fn enqueue<T>(queue: &JobQueue<T>, depth: &Gauge, job: T) -> Result<(), PushError> {
+    depth.inc();
+    let pushed = queue.try_push(job);
+    if pushed.is_err() {
+        depth.dec();
+    }
+    pushed
+}
+
 /// Writes one frame (plus newline) to the shared connection writer,
 /// swallowing errors — a vanished client only means nobody is reading.
 /// The `write` fault site drops the frame entirely (any injected kind
@@ -688,9 +701,8 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
                         continue;
                     }
                 }
-                match shared.queue.try_push(job) {
+                match enqueue(&shared.queue, &shared.metrics.queue_depth, job) {
                     Ok(()) => {
-                        shared.metrics.queue_depth.inc();
                         if let Some(key) = rkey {
                             inflight.insert(key, Vec::new());
                         }
@@ -1231,4 +1243,66 @@ fn handle_delta(shared: &Shared, registry: &Registry, job: &Job) -> Frame {
     frame.budget_exhausted = Some(outcome.budget_exhausted);
     frame.stages = Some(outcome.stages.iter().map(StageReportWire::from).collect());
     frame
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicI64;
+
+    /// Producers `enqueue` into a small queue while consumers pop and
+    /// `dec()` as the workers do; the gauge must never read negative.
+    #[test]
+    fn queue_depth_gauge_never_negative() {
+        const PUSHERS: usize = 3;
+        const POPPERS: usize = 3;
+        const PUSHES: usize = 20_000;
+        let queue = Arc::new(JobQueue::new(4));
+        let depth = Gauge::default();
+        let lowest = Arc::new(AtomicI64::new(0));
+        // Every thread starts at once, so pushes and pops interleave.
+        let start = Arc::new(std::sync::Barrier::new(PUSHERS + POPPERS));
+        let watch = |lowest: &AtomicI64, depth: &Gauge| {
+            lowest.fetch_min(depth.get(), Ordering::Relaxed);
+        };
+        let poppers: Vec<_> = (0..POPPERS)
+            .map(|_| {
+                let (queue, depth, lowest) = (queue.clone(), depth.clone(), lowest.clone());
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    while queue.pop().is_some() {
+                        depth.dec();
+                        watch(&lowest, &depth);
+                    }
+                })
+            })
+            .collect();
+        let pushers: Vec<_> = (0..PUSHERS)
+            .map(|p| {
+                let (queue, depth, lowest) = (queue.clone(), depth.clone(), lowest.clone());
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    for k in 0..PUSHES {
+                        let _ = enqueue(&queue, &depth, p * PUSHES + k);
+                        watch(&lowest, &depth);
+                    }
+                })
+            })
+            .collect();
+        for h in pushers {
+            h.join().unwrap();
+        }
+        queue.close();
+        for h in poppers {
+            h.join().unwrap();
+        }
+        assert_eq!(
+            lowest.load(Ordering::Relaxed),
+            0,
+            "queue depth gauge went negative"
+        );
+        assert_eq!(depth.get(), 0);
+    }
 }
